@@ -14,7 +14,14 @@ bracket the event's ratio b = g_i(c) / (c_i a_i), minimizing
     a_i * (1/b1 + 1/b2 - b/(b1*b2)).
 
 Which constrained selections are optimal depends on the signs of b and of
-the achievable ratios; the four cases are dispatched in :func:`ell_i`.
+the achievable ratios (four cases).  In exact mode every selection of
+every event reads one :class:`~unionbounds.subset_opt.SubsetTable` of the
+2^n subset sums, built once per bound call and sorted by (sum, mask):
+each bracket end is one binary search, ties keep the smallest mask, and a
+negative c_i reverses the ratio order.  The table takes 16 * 2^n bytes
+(16 MiB at n = 20, 256 MiB at the cap n = 24) and is dropped when the call
+returns.  With ``fptas_eps`` and positive weights the brackets come from
+the trim-based approximation scheme instead, which needs no table.
 The sum over events is the first bound class (:func:`lnew3`).  With unit
 weights it collapses to the floor/ceiling closed form (kat_bound).
 
@@ -61,19 +68,14 @@ from .errors import (
     InfeasibleX,
     InvalidWeights,
     NoFeasibleSubset,
-    ResolutionTooCoarse,
 )
 from .space import PartialInfo, WeightVector, gamma
-from .subset_opt import Direction, SelectionQuery, SubsetSelection, select_dp, \
-    select_exhaustive, select_fptas
+from .subset_opt import Direction, SelectionQuery, SubsetSelection, SubsetTable, \
+    select_dp, select_fptas  # select_dp is re-exported, no longer called here
 
 # Relative tolerance when clamping a ratio into its achievable range;
 # beyond it the inputs are declared inconsistent rather than repaired.
 CLAMP_TOL = 1e-9
-
-# Quantization used by the exact-mode knapsack DP for positive weights.
-# Subset sums at desk scale stay far apart relative to this.
-EXACT_DP_RESOLUTION = 1e-12
 
 _TINY_MASS = 1e-15
 _TINY_GAMMA = 1e-12
@@ -110,49 +112,8 @@ def _vacuous(i: int) -> PerEventSolution:
                             selections=None, ell=0.0)
 
 
-def _select_sum(w: WeightVector, i: int, direction: Direction, t: float | None,
-                exclude_full: bool, fptas_eps: float | None) -> SubsetSelection:
-    """Run one sum-space selection with the appropriate solver.
-
-    Mixed-sign vectors always go through exhaustive enumeration (the
-    knapsack structure needs positive weights); positive vectors use the
-    quantized DP in exact mode and the approximation scheme otherwise.
-    """
-    q = SelectionQuery(n=w.n, i=i, c=w, direction=direction, t=t,
-                       exclude_full_set=exclude_full)
-    if not w.all_positive:
-        return select_exhaustive(q)
-    if fptas_eps is None:
-        return select_dp(q, EXACT_DP_RESOLUTION)
-    return select_fptas(q, fptas_eps)
-
-
-def _ratio_select(w: WeightVector, i: int, kind: str, t_sum: float | None,
-                  exclude_full: bool, fptas_eps: float | None) -> SubsetSelection:
-    """Translate a ratio-space selection into sum space.
-
-    Ratios are weight sums divided by c_i; a negative c_i flips both the
-    optimization direction and the inequality sense.  Thresholds arrive
-    already in sum units (t_sum = ratio * c_i).
-    """
-    ci = float(w.c[i])
-    if kind == "max_ratio_below":
-        d = Direction.MAX_BELOW if ci > 0 else Direction.MIN_ABOVE
-        return _select_sum(w, i, d, t_sum, exclude_full, fptas_eps)
-    if kind == "min_ratio_above":
-        d = Direction.MIN_ABOVE if ci > 0 else Direction.MAX_BELOW
-        return _select_sum(w, i, d, t_sum, exclude_full, fptas_eps)
-    if kind == "max_ratio_negative":
-        # ratio < 0 means the sum has sign opposite to c_i; for valid
-        # vectors no subset sum is zero, so a weak inequality at 0 is safe.
-        if ci > 0:
-            return _select_sum(w, i, Direction.MAX_NEGATIVE, None, exclude_full,
-                               fptas_eps)
-        return _select_sum(w, i, Direction.MIN_ABOVE, 0.0, exclude_full, fptas_eps)
-    raise AssertionError(f"unknown ratio selection kind {kind!r}")
-
-
-def _ratio_extremes(w: WeightVector, i: int, exclude_full: bool,
+def _ratio_extremes(w: WeightVector, i: int, entries: SubsetTable | None,
+                    exclude_full: bool,
                     ) -> tuple[float, SubsetSelection, float, SubsetSelection]:
     """Smallest and largest achievable ratios over subsets containing i."""
     ci = float(w.c[i])
@@ -170,11 +131,9 @@ def _ratio_extremes(w: WeightVector, i: int, exclude_full: bool,
             hi_sel = SubsetSelection(mask=(1 << n) - 1, weight_sum=float(np.sum(c)),
                                      exact=True)
         return 1.0, lo_sel, hi_sel.weight_sum / ci, hi_sel
-    min_sum = _select_sum(w, i, Direction.MIN_ALL, None, exclude_full, None)
-    max_sum = _select_sum(w, i, Direction.MAX_ALL, None, exclude_full, None)
-    cand = ((min_sum.weight_sum / ci, min_sum), (max_sum.weight_sum / ci, max_sum))
-    lo, hi = min(cand, key=lambda p: p[0]), max(cand, key=lambda p: p[0])
-    return lo[0], lo[1], hi[0], hi[1]
+    ends = (entries.select(Direction.MIN_ALL), entries.select(Direction.MAX_ALL))
+    lo, hi = sorted(ends, key=lambda sel: sel.weight_sum / ci)
+    return lo.weight_sum / ci, lo, hi.weight_sum / ci, hi
 
 
 def _clamp_ratio(b: float, rmin: float, rmax: float, what: str,
@@ -187,93 +146,73 @@ def _clamp_ratio(b: float, rmin: float, rmax: float, what: str,
     return min(max(b, rmin), rmax)
 
 
-def _interior_select(w: WeightVector, i: int, kind: str, t_sum: float, b: float,
-                     rmin: float, lo_sel: SubsetSelection,
-                     rmax: float, hi_sel: SubsetSelection,
-                     exclude_full: bool, fptas_eps: float | None,
-                     exc: type[Exception]) -> SubsetSelection:
-    """Threshold selection with recoveries for ratios sitting on a subset
-    sum.  Floating noise can push the quantized-DP winner a hair across
-    the exact threshold (ResolutionTooCoarse), or push the sum-unit
-    threshold a hair past the achievable extreme while the ratio-unit test
-    still reads interior (NoFeasibleSubset).  In both situations the event
-    ratio coincides with an achievable ratio to within tolerance, where
-    the two-atom objective does not depend on the other bracket, so the
-    boundary subset itself serves as the selection.
-    """
+def _table(w: WeightVector, fptas_eps: float | None) -> SubsetTable | None:
+    """The subset-sum table behind every exact selection at ``w``; None on
+    the approximation path, which needs no table."""
+    return None if fptas_eps is not None and w.all_positive else SubsetTable.of(w.c)
+
+
+def _select(w: WeightVector, i: int, entries: SubsetTable | None, d: Direction,
+            t: float, exclude_full: bool, fptas_eps: float | None,
+            ) -> SubsetSelection | None:
+    """Exact selection from the event's table entries, or the approximation
+    scheme when there are none; None when no subset qualifies."""
+    if entries is not None:
+        return entries.select(d, t)
     try:
-        return _ratio_select(w, i, kind, t_sum, exclude_full, fptas_eps)
-    except ResolutionTooCoarse as err:
-        ratio = err.weight_sum / float(w.c[i])
-        if abs(ratio - b) <= CLAMP_TOL * max(1.0, abs(b)):
-            return SubsetSelection(mask=err.mask, weight_sum=err.weight_sum,
-                                   exact=True, resolution=EXACT_DP_RESOLUTION)
-        raise exc(f"selection for event {i} failed: {err}") from err
-    except NoFeasibleSubset as err:
-        tol = CLAMP_TOL * max(1.0, abs(rmin), abs(rmax))
-        if kind == "min_ratio_above" and b >= rmax - tol:
-            return hi_sel
-        if kind == "max_ratio_below" and b <= rmin + tol:
-            return lo_sel
-        raise exc(f"no bracketing selection exists for event {i}: {err}") from err
+        return select_fptas(SelectionQuery(n=w.n, i=i, c=w, direction=d, t=t,
+                                           exclude_full_set=exclude_full),
+                            fptas_eps)  # type: ignore[arg-type]
+    except NoFeasibleSubset:
+        return None
 
 
 def _solve_two_atom(w: WeightVector, i: int, a: float, g: float,
                     exclude_full: bool, fptas_eps: float | None,
-                    exc: type[Exception]) -> PerEventSolution:
+                    table: SubsetTable | None, exc: type[Exception],
+                    ) -> PerEventSolution:
     """Common core of ell_i and ell_i_prime: case dispatch plus objective.
 
     ``a`` and ``g`` are the (possibly shifted) event probability and
     weighted pairwise sum; ``exc`` is the error to raise when the inputs
-    are not realizable.
+    are not realizable.  ``table`` is :func:`_table` of ``w``.
     """
     ci = float(w.c[i])
     b = g / (ci * a)
     t_sum = g / a  # threshold in sum units, identical for either sign of c_i
-    rmin, lo_sel, rmax, hi_sel = _ratio_extremes(w, i, exclude_full)
+    entries = None if table is None else table.containing(i, exclude_full)
+    rmin, lo_sel, rmax, hi_sel = _ratio_extremes(w, i, entries, exclude_full)
     b = _clamp_ratio(b, rmin, rmax, "event ratio", exc)
 
     adjusted = False
-    try:
+    if rmin < 0.0:
+        # Mixed signs: find the largest negative ratio.  For c_i < 0 that is
+        # the smallest positive sum; no subset sums to zero for a valid
+        # vector, so a weak inequality at 0 is safe.
+        sel_neg = entries.select(Direction.MAX_NEGATIVE) if ci > 0 else \
+            entries.select(Direction.MIN_ABOVE, 0.0)
         if b >= 0.0:
-            if rmin < 0.0:
-                sel1 = _ratio_select(w, i, "max_ratio_negative", None,
-                                     exclude_full, fptas_eps)
-                sel2 = hi_sel
-            elif b <= rmin:
-                sel1 = sel2 = lo_sel
-            elif b >= rmax:
-                sel1 = sel2 = hi_sel
-            else:
-                sel1 = _interior_select(w, i, "max_ratio_below", t_sum, b,
-                                        rmin, lo_sel, rmax, hi_sel,
-                                        exclude_full, fptas_eps, exc)
-                sel2 = _interior_select(w, i, "min_ratio_above", t_sum, b,
-                                        rmin, lo_sel, rmax, hi_sel,
-                                        exclude_full, fptas_eps, exc)
-                adjusted = fptas_eps is not None and w.all_positive
+            sel1, sel2 = sel_neg, hi_sel
+        elif b < sel_neg.weight_sum / ci:
+            sel1, sel2 = sel_neg, lo_sel
         else:
-            sel_neg = _ratio_select(w, i, "max_ratio_negative", None,
-                                    exclude_full, fptas_eps)
-            qneg = sel_neg.weight_sum / ci
-            if b < qneg:
-                sel1 = sel_neg
-                sel2 = lo_sel
-            else:
-                sel1 = hi_sel
-                try:
-                    sel2 = _ratio_select(w, i, "max_ratio_below", t_sum,
-                                         exclude_full, fptas_eps)
-                except NoFeasibleSubset:
-                    # b sits on the largest negative ratio up to rounding;
-                    # with the second bracket at b the objective no longer
-                    # depends on the first, so that subset serves directly.
-                    if abs(b - qneg) <= CLAMP_TOL * max(1.0, abs(b)):
-                        sel2 = sel_neg
-                    else:
-                        raise
-    except NoFeasibleSubset as err:
-        raise exc(f"no bracketing selection exists for event {i}: {err}") from err
+            # no ratio lies between the largest negative one and b < 0,
+            # so that subset is the largest ratio not above b
+            sel1, sel2 = hi_sel, sel_neg
+    elif b <= rmin:
+        sel1 = sel2 = lo_sel
+    elif b >= rmax:
+        sel1 = sel2 = hi_sel
+    else:
+        # Ratios are sums divided by c_i, so a negative c_i reverses their
+        # order.  b lies strictly inside the achievable range, so a missing
+        # bracket end can only be rounding at that end of the range.
+        below, above = Direction.MAX_BELOW, Direction.MIN_ABOVE
+        if ci < 0:
+            below, above = above, below
+        sel1 = _select(w, i, entries, below, t_sum, exclude_full, fptas_eps) or lo_sel
+        sel2 = _select(w, i, entries, above, t_sum, exclude_full, fptas_eps) or hi_sel
+        adjusted = entries is None
 
     s1, s2 = sel1.weight_sum, sel2.weight_sum
     if adjusted:
@@ -295,6 +234,11 @@ def ell_i(info: PartialInfo, w: WeightVector, i: int,
     the approximation scheme (positive weights only) and returns the
     certified lower approximation of the exact optimum.
     """
+    return _ell_i(info, w, i, fptas_eps, _table(w, fptas_eps))
+
+
+def _ell_i(info: PartialInfo, w: WeightVector, i: int, fptas_eps: float | None,
+           table: SubsetTable | None) -> PerEventSolution:
     if not w.is_valid:
         raise InvalidWeights("weight vector has a zero-sum subset")
     if w.n != info.n:
@@ -312,13 +256,14 @@ def ell_i(info: PartialInfo, w: WeightVector, i: int,
             f"event {i} has zero mass but weighted pairwise sum {g}"
         )
     return _solve_two_atom(w, i, a, g, exclude_full=False, fptas_eps=fptas_eps,
-                           exc=InconsistentInfo)
+                           table=table, exc=InconsistentInfo)
 
 
 def lnew3(info: PartialInfo, w: WeightVector,
           fptas_eps: float | None = None) -> BoundValue:
     """First selection-based bound class: sum of per-event optima."""
-    parts = [ell_i(info, w, i, fptas_eps) for i in range(info.n)]
+    table = _table(w, fptas_eps)
+    parts = [_ell_i(info, w, i, fptas_eps, table) for i in range(info.n)]
     notes: dict[str, Any] = {"mode": "exact" if fptas_eps is None else "fptas",
                              "per_event": [p.ell for p in parts]}
     if fptas_eps is not None:
@@ -392,6 +337,12 @@ def ell_i_prime(info: PartialInfo, w: WeightVector, i: int, x: float,
     shared overlap contributes zero (its shifted weighted sum must vanish
     too, otherwise the inputs are inconsistent).
     """
+    return _ell_i_prime(info, w, i, x, fptas_eps, _table(w, fptas_eps))
+
+
+def _ell_i_prime(info: PartialInfo, w: WeightVector, i: int, x: float,
+                 fptas_eps: float | None, table: SubsetTable | None,
+                 ) -> PerEventSolution:
     c = _require_positive(w, "ell_i_prime")
     if w.n != info.n:
         raise ArgumentError(f"weights have n={w.n}, info has n={info.n}")
@@ -422,7 +373,7 @@ def ell_i_prime(info: PartialInfo, w: WeightVector, i: int, x: float,
             f"ratio {b} not in [{mc / ci}, {(total - mc) / ci}]"
         )
     return _solve_two_atom(w, i, a, g, exclude_full=True, fptas_eps=fptas_eps,
-                           exc=InfeasibleX)
+                           table=table, exc=InfeasibleX)
 
 
 def lnew4(info: PartialInfo, w: WeightVector,
@@ -441,7 +392,8 @@ def lnew4(info: PartialInfo, w: WeightVector,
             f"endpoint {hi}"
         )
     x = max(0.0, min(x, hi))
-    parts = [ell_i_prime(info, w, i, x, fptas_eps) for i in range(info.n)]
+    table = _table(w, fptas_eps)
+    parts = [_ell_i_prime(info, w, i, x, fptas_eps, table) for i in range(info.n)]
     value = x + math.fsum(p.ell for p in parts)
     notes: dict[str, Any] = {
         "mode": "exact" if fptas_eps is None else "fptas",

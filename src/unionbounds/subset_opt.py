@@ -3,8 +3,16 @@
 All selection problems here share one shape: over the subsets B of
 {0..n-1} that contain a mandatory index i (optionally excluding the full
 set), optimize the weight sum s(B) = sum_{k in B} c_k subject to a
-threshold constraint.  Three solvers are provided:
+threshold constraint.  Four solvers are provided:
 
+* :class:`SubsetTable` holds all 2^n subset sums of one weight vector,
+  sorted once by (sum, mask).  Every exact selection of every index i
+  then reads the entries whose mask contains i and answers with one
+  binary search, for any sign pattern.  The selection bounds build one
+  table per weight vector and use it for all their exact selections.  It
+  stores a float64 sum and an int64 mask per subset: 16 * 2^n bytes,
+  256 MiB at the cap n = 24, and building or filtering it briefly needs
+  about as much again;
 * :func:`select_exhaustive` enumerates all 2^(n-1) candidates and is the
   reference for every weight sign pattern;
 * :func:`select_dp` is the classic 0/1 knapsack dynamic program (mass
@@ -14,7 +22,9 @@ threshold constraint.  Three solvers are provided:
 * :func:`select_fptas` is a trim-based fully polynomial approximation
   scheme, also for positive weights, with the guarantees
   (1-eps)*OPT <= result <= OPT for MaxBelow and
-  OPT <= result <= (1+eps)*OPT for MinAbove.
+  OPT <= result <= (1+eps)*OPT for MinAbove.  It is the selection behind
+  ``fptas_eps`` in the bounds, and the only solver not capped at
+  n <= max_atom_n(): its work is polynomial in n and 1/eps.
 
 Minimize-above-threshold is reduced to maximize-below on the complement
 ground set: B runs over supersets of {i} exactly when its complement B'
@@ -30,12 +40,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ArgumentError, NoFeasibleSubset, ResolutionTooCoarse
-from .space import WeightVector, bit_indices, max_atom_n
+from .space import WeightVector, bit_indices, max_atom_n, subset_sums
 
 
 class Direction(enum.Enum):
@@ -75,9 +84,9 @@ class SubsetSelection:
     """A chosen subset with its weight sum and provenance.
 
     ``weight_sum`` is recomputed from the mask (exactly-rounded sum of the
-    chosen components).  ``exact`` is True for enumeration and quantized DP,
-    False for the approximation scheme; ``resolution`` records the DP
-    quantization when one was used.
+    chosen components).  ``exact`` is True for the table, enumeration and
+    quantized DP, False for the approximation scheme; ``resolution``
+    records the DP quantization when one was used.
     """
 
     mask: int
@@ -91,15 +100,13 @@ def _mask_sum(c: np.ndarray, mask: int) -> float:
     return math.fsum(float(c[k]) for k in bit_indices(mask))
 
 
-@lru_cache(maxsize=256)
-def _enumeration_table(c_key: tuple[float, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
+def _enumeration_table(c: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Sums and masks of every subset containing i, mask-ascending.
 
     Built by doubling over the other indices in increasing order, which
     makes the mask sequence strictly increasing; the final entry is the
     full set.
     """
-    c = np.asarray(c_key)
     sums = np.array([c[i]])
     masks = np.array([1 << i], dtype=np.int64)
     for k in range(c.size):
@@ -107,14 +114,64 @@ def _enumeration_table(c_key: tuple[float, ...], i: int) -> tuple[np.ndarray, np
             continue
         sums = np.concatenate([sums, sums + c[k]])
         masks = np.concatenate([masks, masks | (1 << k)])
-    sums.setflags(write=False)
-    masks.setflags(write=False)
     return sums, masks
 
 
 def _check_n(n: int) -> None:
     if n > max_atom_n():
         raise ArgumentError(f"selection needs n <= {max_atom_n()}, got {n}")
+
+
+@dataclass(frozen=True)
+class SubsetTable:
+    """Subset sums of ``c`` with their masks, ascending by (sum, mask).
+
+    Build it with :meth:`of`; :meth:`containing` keeps the entries of one
+    mandatory index and :meth:`select` answers a selection on them.  Sums
+    are accumulated in bit order; a chosen subset's ``weight_sum`` is
+    recomputed from its mask.
+    """
+
+    c: np.ndarray
+    sums: np.ndarray
+    masks: np.ndarray
+
+    @classmethod
+    def of(cls, c: np.ndarray) -> "SubsetTable":
+        _check_n(c.size)
+        sums = subset_sums(c)
+        # sums is indexed by mask, so a stable sort keeps equal sums in
+        # mask order and the sort permutation is the mask column itself
+        masks = np.argsort(sums, kind="stable")
+        return cls(c, sums[masks], masks)
+
+    def containing(self, i: int, exclude_full_set: bool = False) -> "SubsetTable":
+        keep = (self.masks & (1 << i)) != 0
+        if exclude_full_set:
+            keep &= self.masks != (1 << self.c.size) - 1
+        return SubsetTable(self.c, self.sums[keep], self.masks[keep])
+
+    def select(self, direction: Direction, t: float | None = None,
+               ) -> SubsetSelection | None:
+        """Optimum with the same comparisons as :func:`select_exhaustive`;
+        None when no entry qualifies."""
+        s = self.sums
+        if direction is Direction.MIN_ALL:
+            k = 0
+        elif direction is Direction.MAX_ALL:
+            k = s.size - 1
+        elif direction is Direction.MIN_ABOVE:
+            k = int(s.searchsorted(t, "left"))
+        elif direction is Direction.MAX_BELOW:
+            k = int(s.searchsorted(t, "right")) - 1
+        else:
+            k = int(s.searchsorted(0.0, "left")) - 1
+        if not 0 <= k < s.size:
+            return None
+        # the first entry with this sum carries the smallest mask
+        mask = int(self.masks[s.searchsorted(s[k], "left")])
+        return SubsetSelection(mask=mask, weight_sum=_mask_sum(self.c, mask),
+                               exact=True)
 
 
 def select_exhaustive(q: SelectionQuery) -> SubsetSelection:
@@ -124,7 +181,7 @@ def select_exhaustive(q: SelectionQuery) -> SubsetSelection:
     MaxBelow / MinAbove, strictly < 0 for MaxNegative.
     """
     _check_n(q.n)
-    sums, masks = _enumeration_table(tuple(map(float, q.c.c)), q.i)
+    sums, masks = _enumeration_table(q.c.c, q.i)
     if q.exclude_full_set:
         sums, masks = sums[:-1], masks[:-1]
         if sums.size == 0:
@@ -288,31 +345,26 @@ def _trim_max_below(base: tuple[float, int], items: list[tuple[float, int]],
 
 
 def select_fptas(q: SelectionQuery, epsilon: float) -> SubsetSelection:
-    """Approximation scheme for positive weights.
+    """Approximation scheme for positive weights, at any n.
 
     MaxBelow returns a subset within factor (1-epsilon) of the optimum;
     MinAbove within (1+epsilon), via the complement transform run at an
     adjusted internal tolerance so the multiplicative guarantee transfers.
     Feasibility is always exact: candidate sums are true subset sums.
+    Excluding the full set costs no extra trim run (see the branches).
     """
-    _check_n(q.n)
     if not (0.0 < epsilon < 1.0):
         raise ArgumentError(f"epsilon must be in (0, 1), got {epsilon!r}")
     c = _require_positive(q, "select_fptas")
     n, i = q.n, q.i
     others = [k for k in range(n) if k != i]
+    items = [(float(c[k]), k) for k in others]
     full_mask = (1 << n) - 1
     d = q.direction
 
-    if d is Direction.MAX_NEGATIVE:
-        raise NoFeasibleSubset("positive weights admit no negative subset sum")
-    if d is Direction.MIN_ALL:
-        return SubsetSelection(mask=1 << i, weight_sum=float(c[i]), exact=False,
-                               epsilon=epsilon)
-    if d is Direction.MAX_ALL:
-        if not q.exclude_full_set:
-            return SubsetSelection(mask=full_mask, weight_sum=_mask_sum(c, full_mask),
-                                   exact=False, epsilon=epsilon)
+    def best_proper() -> SubsetSelection:
+        # with positive weights the heaviest proper subset containing i
+        # is the full set minus its cheapest other index
         if not others:
             raise NoFeasibleSubset("no proper subset contains the mandatory index")
         drop = min(others, key=lambda k: (c[k], k))
@@ -320,22 +372,27 @@ def select_fptas(q: SelectionQuery, epsilon: float) -> SubsetSelection:
         return SubsetSelection(mask=mask, weight_sum=_mask_sum(c, mask), exact=False,
                                epsilon=epsilon)
 
+    if d is Direction.MAX_NEGATIVE:
+        raise NoFeasibleSubset("positive weights admit no negative subset sum")
+    if d is Direction.MIN_ALL:
+        return SubsetSelection(mask=1 << i, weight_sum=float(c[i]), exact=False,
+                               epsilon=epsilon)
+    if d is Direction.MAX_ALL:
+        if q.exclude_full_set:
+            return best_proper()
+        return SubsetSelection(mask=full_mask, weight_sum=_mask_sum(c, full_mask),
+                               exact=False, epsilon=epsilon)
+
     t = float(q.t)  # type: ignore[arg-type]
     if d is Direction.MAX_BELOW:
-        if q.exclude_full_set:
-            # Any proper subset omits at least one other index; one
-            # restricted run per omitted index covers them all.
-            best: tuple[float, int] | None = None
-            for skip in others:
-                items = [(float(c[k]), k) for k in others if k != skip]
-                got = _trim_max_below((float(c[i]), 1 << i), items, t, epsilon)
-                if got is not None and (best is None or got[0] > best[0]):
-                    best = got
-        else:
-            items = [(float(c[k]), k) for k in others]
-            best = _trim_max_below((float(c[i]), 1 << i), items, t, epsilon)
+        best = _trim_max_below((float(c[i]), 1 << i), items, t, epsilon)
         if best is None:
             raise NoFeasibleSubset(f"no subset containing {i} has sum <= {t}")
+        if q.exclude_full_set and best[1] == full_mask:
+            # the full set fits under t, so every subset does and the
+            # best proper one is known exactly; otherwise the full set is
+            # infeasible and the ordinary run never returns it
+            return best_proper()
         return SubsetSelection(mask=best[1], weight_sum=_mask_sum(c, best[1]),
                                exact=False, epsilon=epsilon)
 
@@ -346,32 +403,18 @@ def select_fptas(q: SelectionQuery, epsilon: float) -> SubsetSelection:
         raise NoFeasibleSubset(f"even the full set falls short of {t}")
     lower_opt = max(t, float(c[i]))  # OPT >= t and OPT >= c_i
     slack = sum_all - lower_opt
+    if q.exclude_full_set and not any(ck <= cap for ck, _ in items):
+        # a proper B needs a nonempty complement within the cap
+        raise NoFeasibleSubset(f"no proper subset containing {i} has sum >= {t}")
     if slack <= 0:
         # Only the full set can be feasible.
-        if q.exclude_full_set:
-            raise NoFeasibleSubset(f"only the full set reaches {t}")
         return SubsetSelection(mask=full_mask, weight_sum=sum_all, exact=False,
                                epsilon=epsilon)
-    # result <= OPT + eps_inner * slack <= (1 + epsilon) * OPT
+    # result <= OPT + eps_inner * slack <= (1 + epsilon) * OPT.  When the
+    # full set is excluded, some single index fits under the cap, so the
+    # run keeps a nonempty complement and its result is a proper subset.
     eps_inner = min(0.9, epsilon * lower_opt / slack)
-    best = None
-    if q.exclude_full_set:
-        # The complement must be nonempty; force each candidate member.
-        for forced in others:
-            base = (float(c[forced]), 1 << forced)
-            items = [(float(c[k]), k) for k in others if k != forced]
-            got = _trim_max_below(base, items, cap, eps_inner)
-            if got is not None and (best is None or got[0] > best[0]):
-                best = got
-        if best is None:
-            raise NoFeasibleSubset(
-                f"no proper subset containing {i} has sum >= {t}"
-            )
-    else:
-        items = [(float(c[k]), k) for k in others]
-        best = _trim_max_below((0.0, 0), items, cap, eps_inner)
-        if best is None:
-            raise NoFeasibleSubset(f"no subset containing {i} has sum >= {t}")
-    mask = full_mask ^ best[1]
+    best = _trim_max_below((0.0, 0), items, cap, eps_inner)  # cap >= 0: never None
+    mask = full_mask ^ best[1]  # type: ignore[index]
     return SubsetSelection(mask=mask, weight_sum=_mask_sum(c, mask), exact=False,
                            epsilon=epsilon)

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unionbounds as ub
+import unionbounds.bounds_new as bounds_new
+import unionbounds.subset_opt as subset_opt
 from unionbounds.bounds_new import feasible_x_window
-from unionbounds.errors import DegenerateWeights, InconsistentInfo, InfeasibleX, \
-    InvalidWeights
+from unionbounds.errors import ArgumentError, DegenerateWeights, InconsistentInfo, \
+    InfeasibleX, InvalidWeights, NoFeasibleSubset
+from unionbounds.subset_opt import Direction as D, SelectionQuery, SubsetTable, \
+    select_exhaustive
 
 from conftest import draw_mixed_weights, draw_positive_weights, per_event_lp, \
     random_space, two_atom_oracle
@@ -338,3 +344,177 @@ class TestUpperBounds:
             ub.unew4(n2_info, w)
         with pytest.raises(InvalidWeights):
             ub.unew5(n2_info, w)
+
+
+def exhaustive_bracket(w, i, b, exclude_full):
+    """Bracket sums of the two-atom solution, chosen case by case with
+    select_exhaustive.  Ratios are sums over c_i, so a negative c_i turns
+    each ratio-space query into the opposite sum-space one."""
+    ci = float(w.c[i])
+    up = ci > 0
+
+    def best(d, t=None):
+        return select_exhaustive(SelectionQuery(
+            n=w.n, i=i, c=w, direction=d, t=t, exclude_full_set=exclude_full)
+        ).weight_sum
+
+    lowest = best(D.MIN_ALL if up else D.MAX_ALL)
+    highest = best(D.MAX_ALL if up else D.MIN_ALL)
+    if lowest / ci < 0:
+        neg = best(D.MAX_NEGATIVE) if up else best(D.MIN_ABOVE, 0.0)
+        if b >= 0:
+            return neg, highest
+        return (neg, lowest) if b < neg / ci else (highest, neg)
+    if b <= lowest / ci:
+        return lowest, lowest
+    if b >= highest / ci:
+        return highest, highest
+    return (best(D.MAX_BELOW if up else D.MIN_ABOVE, b * ci),
+            best(D.MIN_ABOVE if up else D.MAX_BELOW, b * ci))
+
+
+def assert_bracket_matches_exhaustive(sol, w, exclude_full):
+    if sol.selections is None:
+        return
+    ci = float(w.c[sol.i])
+    got = [sel.weight_sum for sel in sol.selections]
+    try:
+        want = exhaustive_bracket(w, sol.i, sol.b, exclude_full)
+    except NoFeasibleSubset:
+        want = (math.nan, math.nan)  # the threshold rounded past an extreme
+    on_b = [abs(s / ci - sol.b) <= 1e-9 * max(1.0, abs(sol.b)) for s in got]
+    for s, t in zip(got, want):
+        # where one end sits on b the objective ignores the other end, so
+        # rounding may pick either neighbour there
+        assert s == pytest.approx(t, rel=1e-12, abs=1e-15) or any(on_b), \
+            (sol, want)
+
+
+MODELS = ["dirichlet", "sparse:1", "sparse:2", "sparse:3", "disjoint", "identical"]
+
+
+def model_info(n, seed, model):
+    if model == "disjoint":
+        masses = np.random.default_rng(seed).dirichlet(np.ones(n + 1))[:n]
+        return disjoint_info(list(masses))
+    if model == "identical":
+        return identical_info(n, 0.1 + 0.8 * (seed % 97) / 97)
+    return ub.derive_partial_info(ub.generate_random_space(n, seed, model))
+
+
+class TestTableSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 10**6),
+           model=st.sampled_from(MODELS), mixed=st.booleans())
+    def test_ell_i_bracket_and_oracle(self, n, seed, model, mixed):
+        info = model_info(n, seed, model)
+        rng = np.random.default_rng(seed)
+        w = draw_mixed_weights(rng, n) if mixed else draw_positive_weights(rng, n)
+        for i in range(n):
+            sol = ub.ell_i(info, w, i)
+            assert_bracket_matches_exhaustive(sol, w, exclude_full=False)
+            assert sol.ell == pytest.approx(two_atom_oracle(info, w, i), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 10**6),
+           model=st.sampled_from(MODELS), where=st.floats(0.0, 1.0))
+    def test_ell_i_prime_bracket(self, n, seed, model, where):
+        info = model_info(n, seed, model)
+        w = draw_positive_weights(np.random.default_rng(seed), n)
+        lo, hi = feasible_x_window(info, w)
+        x = lo + where * max(hi - lo, 0.0)
+        for i in range(n):
+            assert_bracket_matches_exhaustive(ub.ell_i_prime(info, w, i, x), w,
+                                              exclude_full=True)
+
+    @pytest.mark.parametrize("model", ["disjoint", "identical", "sparse:1",
+                                       "sparse:2"])
+    def test_ratio_on_subset_ratio(self, model):
+        # the event ratio equals an achievable ratio: b = 1 for disjoint
+        # events, the full set's ratio for identical ones, and some subset
+        # ratio for every event of a one- or two-atom space
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            n = int(rng.integers(2, 9))
+            info = model_info(n, int(rng.integers(0, 10**6)), model)
+            w = draw_mixed_weights(rng, n) if trial % 2 else \
+                draw_positive_weights(rng, n)
+            for i in range(n):
+                sol = ub.ell_i(info, w, i)
+                assert_bracket_matches_exhaustive(sol, w, exclude_full=False)
+                assert sol.ell == pytest.approx(two_atom_oracle(info, w, i), abs=1e-9)
+            if w.all_positive:
+                for i in range(n):
+                    sol = ub.ell_i_prime(info, w, i, feasible_x_window(info, w)[0])
+                    assert_bracket_matches_exhaustive(sol, w, exclude_full=True)
+
+    def test_unit_weights_keep_smallest_mask(self):
+        # events 0 and 3 have degree-2 and degree-3 atoms of equal mass, so
+        # b = 2.5; several subsets containing each sum to 2 and to 3
+        info = ub.derive_partial_info(
+            ub.EventSpace(n=4, atom_probs={0b1100: 0.15, 0b0011: 0.15,
+                                           0b1101: 0.15}))
+        ones = ub.WeightVector.ones(4)
+        sol = ub.ell_i(info, ones, 0)
+        assert sol.b == pytest.approx(2.5, abs=1e-12)
+        assert [sel.mask for sel in sol.selections] == [0b0011, 0b0111]
+        sol = ub.ell_i(info, ones, 3)
+        assert sol.b == pytest.approx(2.5, abs=1e-12)
+        assert [sel.mask for sel in sol.selections] == [0b1001, 0b1011]
+        sol = ub.ell_i_prime(info, ones, 3, 0.0)
+        assert [sel.mask for sel in sol.selections] == [0b1001, 0b1011]
+
+
+class TestWorkCounts:
+    def test_one_table_per_call_and_no_dp(self, monkeypatch):
+        builds, dp_calls = [], []
+        build = SubsetTable.of.__func__
+
+        def counting_build(cls, c):
+            builds.append(c.size)
+            return build(cls, c)
+
+        def counting_dp(*args, **kwargs):
+            dp_calls.append(args)
+            raise AssertionError("the knapsack DP ran on the bound path")
+
+        monkeypatch.setattr(SubsetTable, "of", classmethod(counting_build))
+        monkeypatch.setattr(subset_opt, "_dp_reach", counting_dp)
+        monkeypatch.setattr(subset_opt, "select_dp", counting_dp)
+        monkeypatch.setattr(bounds_new, "select_dp", counting_dp)
+        rng = np.random.default_rng(43)
+        info = ub.derive_partial_info(ub.generate_random_space(7, 5, "dirichlet"))
+        w = draw_positive_weights(rng, 7)
+        ub.lnew3(info, w)
+        assert builds == [7]
+        ub.lnew4(info, w)
+        assert builds == [7, 7]
+        ub.lnew3(info, w, fptas_eps=0.01)
+        ub.lnew4(info, w, fptas_eps=0.01)
+        assert builds == [7, 7]
+        assert dp_calls == []
+
+
+def independent_info(n, seed):
+    a = np.random.default_rng(seed).uniform(0.01, 0.2, n)
+    pairwise = np.outer(a, a)
+    np.fill_diagonal(pairwise, a)
+    return ub.PartialInfo(n=n, alpha=a, pairwise=pairwise), 1.0 - np.prod(1.0 - a)
+
+
+class TestBeyondTheAtomCap:
+    def test_fptas_runs_at_n30(self):
+        info, union = independent_info(30, 7)
+        ones = ub.WeightVector.ones(30)
+        l3 = ub.lnew3(info, ones, fptas_eps=0.01).value
+        l4 = ub.lnew4(info, ones, fptas_eps=0.01).value
+        assert 0.0 < l3 <= union + 1e-9
+        assert l3 - 1e-9 <= l4 <= union + 1e-9
+
+    def test_exact_mode_keeps_the_cap(self):
+        info, _ = independent_info(30, 7)
+        ones = ub.WeightVector.ones(30)
+        with pytest.raises(ArgumentError):
+            ub.lnew3(info, ones)
+        with pytest.raises(ArgumentError):
+            ub.lnew4(info, ones)

@@ -144,6 +144,18 @@ class TestCompare:
         assert all(b["valid"] for b in rep["bounds"])
         assert rep["stats"]["trials"] == 50
 
+    def test_readme_command(self, tmp_path, capsys):
+        # the README's compare line, with fewer trials; a kappa grid that
+        # starts with '-' must be attached with '='
+        problem = tmp_path / "problem.json"
+        assert run(capsys, "gen", "--n", "6", "--seed", "11",
+                   "--out", str(problem))[0] == 0
+        code, _, err = run(capsys, "compare", "--input", str(problem),
+                           "--trials", "20", "--seed", "5", "--kappa=-1:1:0.005",
+                           "--format", "json-lines",
+                           "--out", str(tmp_path / "compare.jsonl"))
+        assert code == 0, err
+
     def test_kappa_grid_parse_error(self, tmp_path, capsys):
         path = write_hand_n2(tmp_path)
         code, _, err = run(capsys, "compare", "--input", path, "--kappa", "oops")

@@ -3,10 +3,11 @@ import pytest
 
 import unionbounds as ub
 from unionbounds.errors import ArgumentError, NoFeasibleSubset, ResolutionTooCoarse
-from unionbounds.subset_opt import Direction, SelectionQuery, select_dp, \
-    select_exhaustive, select_fptas
+from unionbounds.space import max_atom_n
+from unionbounds.subset_opt import Direction, SelectionQuery, SubsetTable, \
+    select_dp, select_exhaustive, select_fptas
 
-from conftest import draw_positive_weights
+from conftest import draw_mixed_weights, draw_positive_weights
 
 
 def q(c, i, direction, t=None, exclude_full=False):
@@ -53,6 +54,52 @@ class TestExhaustive:
     def test_strict_negative_constraint(self):
         with pytest.raises(NoFeasibleSubset):
             select_exhaustive(q([1.0, 1.0], 0, Direction.MAX_NEGATIVE))
+
+
+class TestSubsetTable:
+    def test_sorted_by_sum_then_mask(self):
+        table = SubsetTable.of(np.array([1.0, 1.0, 2.0]))
+        assert list(table.sums) == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
+        assert list(table.masks) == [0, 1, 2, 3, 4, 5, 6, 7]
+
+    def test_containing_keeps_mandatory_index(self):
+        table = SubsetTable.of(np.array([1.0, 1.0, 2.0])).containing(1, True)
+        assert list(table.masks) == [0b010, 0b011, 0b110]
+
+    def test_infeasible_is_none(self):
+        table = SubsetTable.of(np.array([1.0, 1.0])).containing(0)
+        assert table.select(Direction.MAX_BELOW, 0.5) is None
+        assert table.select(Direction.MIN_ABOVE, 2.5) is None
+        assert table.select(Direction.MAX_NEGATIVE) is None
+
+    def test_n_cap(self):
+        with pytest.raises(ArgumentError):
+            SubsetTable.of(np.ones(max_atom_n() + 1))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_exhaustive_every_direction(self, mixed):
+        rng = np.random.default_rng(21 + mixed)
+        for trial in range(150):
+            n = int(rng.integers(2, 9))
+            w = draw_mixed_weights(rng, n) if mixed else draw_positive_weights(rng, n)
+            i = int(rng.integers(0, n))
+            exclude_full = trial % 3 == 0
+            entries = SubsetTable.of(w.c).containing(i, exclude_full)
+            sums = entries.sums
+            t = float(rng.uniform(sums[0] - 0.1, sums[-1] + 0.1))
+            if trial % 4 == 0:  # a threshold on a subset sum
+                t = float(sums[int(rng.integers(0, sums.size))])
+            for d in Direction:
+                query = SelectionQuery(n=n, i=i, c=w, direction=d, t=t,
+                                       exclude_full_set=exclude_full)
+                got = entries.select(d, t)
+                try:
+                    want = select_exhaustive(query)
+                except NoFeasibleSubset:
+                    assert got is None
+                    continue
+                assert got.mask == want.mask
+                assert got.weight_sum == pytest.approx(want.weight_sum, abs=1e-12)
 
 
 class TestDp:
@@ -159,6 +206,44 @@ class TestFptas:
         # only {0} is feasible below t
         got = select_fptas(q([1.0, 5.0, 5.0], 0, Direction.MAX_BELOW, t=2.0), 0.9)
         assert (got.mask, got.weight_sum) == (0b001, 1.0)
+
+    @pytest.mark.parametrize("d", [Direction.MAX_BELOW, Direction.MIN_ABOVE])
+    def test_exclude_full_set_guarantee(self, d):
+        # excluding the full set takes one trim run, not one per index;
+        # thresholds above the full set's sum exercise the closed form
+        rng = np.random.default_rng(37)
+        feasible = 0
+        for trial in range(240):
+            n = int(rng.integers(2, 15))
+            w = draw_positive_weights(rng, n)
+            i = int(rng.integers(0, n))
+            t = float(rng.uniform(0, float(np.sum(w.c)) * 1.1))
+            query = SelectionQuery(n=n, i=i, c=w, direction=d, t=t,
+                                   exclude_full_set=True)
+            for eps in (0.1, 0.01, 1e-4):
+                try:
+                    want = select_exhaustive(query)
+                except NoFeasibleSubset:
+                    with pytest.raises(NoFeasibleSubset):
+                        select_fptas(query, eps)
+                    continue
+                feasible += 1
+                got = select_fptas(query, eps)
+                assert got.mask != (1 << n) - 1 and got.mask >> i & 1
+                if d is Direction.MAX_BELOW:
+                    assert want.weight_sum * (1 - eps) - 1e-12 <= got.weight_sum
+                    assert got.weight_sum <= min(t, want.weight_sum + 1e-12)
+                else:
+                    assert max(t, want.weight_sum - 1e-12) <= got.weight_sum
+                    assert got.weight_sum <= want.weight_sum * (1 + eps) + 1e-12
+        assert feasible >= 300
+
+    def test_no_n_cap(self):
+        n = max_atom_n() + 6
+        w = ub.WeightVector.ones(n)
+        got = select_fptas(SelectionQuery(n=n, i=0, c=w, direction=Direction.MIN_ABOVE,
+                                          t=2.5, exclude_full_set=True), 0.01)
+        assert got.weight_sum == 3.0
 
     def test_epsilon_range(self):
         with pytest.raises(ArgumentError):
