@@ -60,7 +60,7 @@ from typing import Any
 
 import numpy as np
 
-from .bounds_classic import BoundValue
+from .bounds_classic import BoundValue, _require_positive
 from .errors import (
     ArgumentError,
     DegenerateWeights,
@@ -270,12 +270,6 @@ def lnew3(info: PartialInfo, w: WeightVector,
         notes["epsilon"] = fptas_eps
     return BoundValue(name="lnew3", value=math.fsum(p.ell for p in parts),
                       kind="lower", weights_used=w, notes=notes)
-
-
-def _require_positive(w: WeightVector, who: str) -> np.ndarray:
-    if not w.all_positive:
-        raise InvalidWeights(f"{who} requires an all-positive weight vector")
-    return w.c
 
 
 def delta_tilde(info: PartialInfo, w: WeightVector) -> Delta:

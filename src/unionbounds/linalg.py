@@ -4,9 +4,13 @@ Two jobs only, both at desk scale:
 
 * solve symmetric linear systems (the optimal-quadratic-weighting vector
   comes from one), in a least-squares sense when singular, and
-* solve small dense LPs in equality standard form (min/max c.x subject to
-  A x = b, x >= 0) with a deterministic two-phase simplex under Bland's
-  rule.  Determinism and simplicity are the point; speed is not.
+* solve dense LPs in equality standard form (min/max c.x subject to
+  A x = b, x >= 0) with a deterministic two-phase revised simplex.  It is
+  built for few rows and many columns, the shape of the in-class LP
+  (2n rows, 2^n - 1 atom columns, Prekopa's union-bound LPs): it keeps
+  the explicit inverse of the m x m basis and prices every column with
+  one matrix-vector product per pivot, and only a run of degenerate
+  pivots switches it to Bland's rule, which cannot cycle.
 
 Matrices are plain 2-D float numpy arrays (row-major dense storage).
 """
@@ -121,155 +125,181 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float
     primal: np.ndarray
+    pivots: tuple[int, int] = (0, 0)  # phase 1 (artificials driven out too), phase 2
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
 
-def _simplex(tab: np.ndarray, basis: list[int], ncols: int) -> str:
-    """Run simplex on a tableau whose last row holds reduced costs (min
-    convention: entering column has reduced cost < -FEAS_TOL) and last
-    column holds the rhs.  Mutates tab and basis; returns "optimal" or
-    "unbounded".
+class _Basis:
+    """Basis of the phase-1 columns [A | I], artificial column nv + r being
+    the unit vector of row r.
 
-    Pivoting is deterministic: the most-negative reduced cost enters
-    (smallest index on ties) while the objective makes progress, and after
-    a degeneracy stall the rule switches permanently to Bland's
-    (first negative index), which cannot cycle.
+    ``cols[r]`` is the column basic in row r, ``mat`` the m x m basis
+    matrix, ``inv`` its explicit inverse, kept by rank-one updates and
+    refactorized from ``mat`` every ``REFACTOR_EVERY`` pivots, and ``x``
+    the basic values.  ``active`` marks the rows still in the problem:
+    rows found redundant after phase 1 keep their artificial basic at cost
+    zero and never leave.
     """
-    m = tab.shape[0] - 1
+
+    # Refactorizing this often keeps the rounding drift of the rank-one
+    # updates small, so columns and prices are read from the inverse as is.
+    REFACTOR_EVERY = 16
+
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        m, nv = a.shape
+        self.a, self.b, self.nv = a, b, nv
+        self.cols = np.arange(nv, nv + m)
+        self.mat = np.eye(m)
+        self.inv = np.eye(m)
+        self.x = b.copy()
+        self.active = np.ones(m, dtype=bool)
+        self.pivots = 0
+
+    def source(self, j: int) -> np.ndarray:
+        """Column j of [A | I]."""
+        if j < self.nv:
+            return self.a[:, j]
+        unit = np.zeros(self.cols.size)
+        unit[j - self.nv] = 1.0
+        return unit
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of [A | I] in the current basis, B^-1 a_j."""
+        return self.inv @ self.source(j)
+
+    def pivot(self, r: int, j: int, alpha: np.ndarray) -> None:
+        """Column j enters in row r; alpha is ``column(j)``."""
+        theta = self.x[r] / alpha[r]
+        self.x -= theta * alpha
+        self.x[r] = theta
+        row = self.inv[r] / alpha[r]
+        self.inv -= np.outer(alpha, row)
+        self.inv[r] = row
+        self.cols[r] = j
+        self.mat[:, r] = self.source(j)
+        self.pivots += 1
+        if self.pivots % self.REFACTOR_EVERY == 0:
+            try:
+                self.inv = np.linalg.inv(self.mat)
+                self.x = self.inv @ self.b
+            except np.linalg.LinAlgError:
+                pass  # numerically singular: keep the updated inverse
+        # Basic values cannot be negative in exact arithmetic; rounding
+        # residue there would feed negative ratios into later ratio tests
+        # and defeat Bland's termination argument at degenerate vertices.
+        np.maximum(self.x, 0.0, out=self.x, where=self.x > -FEAS_TOL)
+
+
+def _run_phase(basis: _Basis, cost: np.ndarray, ncols: int) -> str:
+    """Minimize cost.x over the first ncols columns of [A | I], starting
+    from the current basis; returns "optimal" or "unbounded".
+
+    Every column is priced at once, d = cost - y [A | I] with
+    y = cost_B B^-1.  Pivoting is deterministic: the most negative reduced
+    cost enters (first index on ties) and the minimum ratio leaves
+    (smallest basic column on ties).  A pivot that lowers the objective by
+    1e-12 or more resets a stall counter; once more than 2(m + 1) pivots
+    in a row do not, the entering rule switches for good to Bland's (first
+    negative index), which cannot cycle.
+    """
+    a, nv = basis.a, basis.nv
+    m = int(np.count_nonzero(basis.active))
     bland = False
     stall = 0
-    last_obj = tab[-1, -1]
     max_iter = 10_000 + 200 * (m + 1)
     for _ in range(max_iter):
-        costs = tab[-1, :ncols]
+        y = cost[basis.cols] @ basis.inv
+        d = cost[:ncols] - np.concatenate([y @ a, y[: ncols - nv]])
         if bland:
-            neg = np.flatnonzero(costs < -FEAS_TOL)
+            neg = np.flatnonzero(d < -FEAS_TOL)
             if neg.size == 0:
                 return "optimal"
             enter = int(neg[0])
         else:
-            enter = int(np.argmin(costs))
-            if costs[enter] >= -FEAS_TOL:
+            enter = int(d.argmin())
+            if d[enter] >= -FEAS_TOL:
                 return "optimal"
-        col = tab[:m, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        alpha = basis.column(enter)
+        rows = np.flatnonzero((alpha > _PIVOT_TOL) & basis.active)
         if rows.size == 0:
             return "unbounded"
-        ratios = tab[rows, -1] / col[rows]
-        best = float(np.min(ratios))
-        tied = rows[ratios <= best + 1e-12]
-        leave = int(min(tied, key=lambda r: basis[r]))
-        piv = tab[leave, enter]
-        tab[leave] /= piv
-        update = tab[:, enter].copy()
-        update[leave] = 0.0
-        tab -= np.outer(update, tab[leave])
-        tab[:, enter] = 0.0
-        tab[leave, enter] = 1.0
-        basis[leave] = enter
-        # Basic values cannot be negative in exact arithmetic; rounding
-        # residue there would feed negative ratios into later ratio tests
-        # and defeat Bland's termination argument at degenerate vertices.
-        rhs = tab[:m, -1]
-        rhs[(rhs < 0.0) & (rhs > -FEAS_TOL)] = 0.0
+        ratios = basis.x[rows] / alpha[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        leave = int(tied[basis.cols[tied].argmin()])
+        gain = -d[enter] * basis.x[leave] / alpha[leave]
+        basis.pivot(leave, enter, alpha)
         if not bland:
-            if tab[-1, -1] > last_obj - 1e-12:
-                stall += 1
-                if stall > 2 * (m + 1):
-                    bland = True
-            else:
-                stall = 0
-            last_obj = tab[-1, -1]
+            stall = stall + 1 if gain < 1e-12 else 0
+            bland = stall > 2 * (m + 1)
     raise RuntimeError(f"simplex failed to converge within {max_iter} iterations")
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Two-phase simplex, deterministic, with Bland anti-cycling.
+    """Two-phase revised simplex, deterministic, with Bland anti-cycling.
 
     Optimal solutions are basic feasible solutions.  Infeasible and
     unbounded problems come back as statuses, not exceptions.
     """
-    a = np.array(p.eq_matrix)
-    b = np.array(p.eq_rhs)
     c = np.array(p.objective, dtype=float)
     if p.sense == "max":
         c = -c
-    m, nv = a.shape
+    m, nv = p.eq_matrix.shape
 
-    flip = b < 0
-    a[flip] *= -1.0
-    b = np.abs(b)
+    # Rows with a negative rhs are negated, so the artificials start >= 0.
+    flip = p.eq_rhs < 0
+    a = p.eq_matrix
+    if flip.any():
+        a = a * np.where(flip, -1.0, 1.0)[:, None]
+    b = np.abs(p.eq_rhs)
 
     # Phase 1: artificial variables form the starting basis.
-    tab = np.zeros((m + 1, nv + m + 1))
-    tab[:m, :nv] = a
-    tab[:m, nv : nv + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, :nv] = -a.sum(axis=0)
-    tab[-1, -1] = -b.sum()
-    basis = list(range(nv, nv + m))
-    status = _simplex(tab, basis, nv + m)
-    if status != "optimal" or -tab[-1, -1] > FEAS_TOL:
-        return LpSolution(status="infeasible", value=np.nan, primal=np.zeros(nv))
+    basis = _Basis(a, b)
+    cost = np.concatenate([np.zeros(nv), np.ones(m)])
+    status = _run_phase(basis, cost, nv + m)
+    if status != "optimal" or float(cost[basis.cols] @ basis.x) > FEAS_TOL:
+        return LpSolution(status="infeasible", value=np.nan, primal=np.zeros(nv),
+                          pivots=(basis.pivots, 0))
 
     # Drive leftover artificials out of the basis; rows that cannot pivot
     # on an original column are redundant constraints.
-    keep = []
-    for r in range(m):
-        if basis[r] >= nv:
-            pivot_col = -1
-            for j in range(nv):
-                if abs(tab[r, j]) > 1e-7:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue
-            piv = tab[r, pivot_col]
-            tab[r] /= piv
-            col = tab[:, pivot_col].copy()
-            col[r] = 0.0
-            tab -= np.outer(col, tab[r])
-            tab[:, pivot_col] = 0.0
-            tab[r, pivot_col] = 1.0
-            basis[r] = pivot_col
-        keep.append(r)
+    for r in np.flatnonzero(basis.cols >= nv):
+        pivot_cols = np.flatnonzero(np.abs(basis.inv[r] @ a) > 1e-7)
+        if pivot_cols.size == 0:
+            basis.active[r] = False
+            continue
+        j = int(pivot_cols[0])
+        basis.pivot(int(r), j, basis.column(j))
+    phase1 = basis.pivots
 
-    rows = [r for r in keep]
-    tab2 = np.zeros((len(rows) + 1, nv + 1))
-    tab2[: len(rows), :nv] = tab[rows][:, :nv]
-    tab2[: len(rows), -1] = tab[rows][:, -1]
-    basis2 = [basis[r] for r in rows]
-
-    # Phase 2: rebuild reduced costs for the real objective.
-    tab2[-1, :nv] = c
-    tab2[-1, -1] = 0.0
-    for r, bv in enumerate(basis2):
-        if abs(c[bv]) > 0:
-            tab2[-1, :] -= c[bv] * tab2[r, :]
-    status = _simplex(tab2, basis2, nv)
+    # Phase 2: the real objective over the original columns.
+    cost = np.concatenate([c, np.zeros(m)])
+    status = _run_phase(basis, cost, nv)
+    pivots = (phase1, basis.pivots - phase1)
     if status == "unbounded":
-        return LpSolution(status="unbounded", value=np.nan, primal=np.zeros(nv))
+        return LpSolution(status="unbounded", value=np.nan, primal=np.zeros(nv),
+                          pivots=pivots)
 
-    # Refactorize: on heavily degenerate problems the pivot sequence leaves
-    # rounding drift in the tableau, so recompute the basic solution for
-    # the final basis straight from the constraint data.
+    # Recompute the basic solution for the final basis straight from the
+    # constraint data, leaving out the redundant rows: on heavily
+    # degenerate problems the pivots leave rounding drift in the updates.
+    rows = np.flatnonzero(basis.active)
+    cols = basis.cols[rows]
     x = np.zeros(nv)
-    sub = a[rows][:, basis2]
-    rhs_kept = b[np.asarray(rows, dtype=int)]
+    sub = a[np.ix_(rows, cols)]
+    rhs_kept = b[rows]
     try:
         x_basic = np.linalg.solve(sub, rhs_kept)
     except np.linalg.LinAlgError:
         x_basic = np.linalg.lstsq(sub, rhs_kept, rcond=None)[0]
     if not np.all(np.isfinite(x_basic)):
         x_basic = np.linalg.lstsq(sub, rhs_kept, rcond=None)[0]
-    for bv, val in zip(basis2, x_basic):
-        x[bv] = val
+    x[cols] = x_basic
     np.clip(x, 0.0, None, out=x)
     value = float(np.asarray(p.objective) @ x)
-    return LpSolution(status="optimal", value=value, primal=x)
+    return LpSolution(status="optimal", value=value, primal=x, pivots=pivots)
 
 
 def optimal_inclass_bound(info: PartialInfo, w: WeightVector, sense: str) -> float:
@@ -290,9 +320,10 @@ def optimal_inclass_bound(info: PartialInfo, w: WeightVector, sense: str) -> flo
     if w.n != n:
         raise DimensionMismatch(f"weights have n={w.n}, info has n={n}")
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    mem = membership_matrix(n, masks)
-    s = w.c @ mem
-    eq = np.vstack([mem, mem * s[None, :]])
+    eq = np.empty((2 * n, masks.size))
+    mem = eq[:n]
+    mem[:] = membership_matrix(n, masks)
+    np.multiply(mem, w.c @ mem, out=eq[n:])
     rhs = np.concatenate([info.alpha, info.gamma_vector(w)])
     prob = LpProblem(
         objective=np.ones(masks.size),

@@ -208,7 +208,8 @@ def select_exhaustive(q: SelectionQuery) -> SubsetSelection:
     # argmax/argmin return the first optimum; masks ascend with position,
     # so this is the smallest-bitmask tie-break.
     pos = idx[int(np.argmax(sums[idx]))] if maximize else idx[int(np.argmin(sums[idx]))]
-    return SubsetSelection(mask=int(masks[pos]), weight_sum=float(sums[pos]), exact=True)
+    mask = int(masks[pos])
+    return SubsetSelection(mask=mask, weight_sum=_mask_sum(q.c.c, mask), exact=True)
 
 
 def _require_positive(q: SelectionQuery, who: str) -> np.ndarray:

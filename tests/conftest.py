@@ -97,6 +97,23 @@ def per_event_lp(info: ub.PartialInfo, w: ub.WeightVector, i: int) -> ub.LpProbl
     )
 
 
+def inclass_lp(info: ub.PartialInfo, w: ub.WeightVector, sense: str) -> ub.LpProblem:
+    """The in-class LP as a raw LP over all 2^n - 1 atom masses: for each
+    event i, sum_{B ∋ i} p_B = alpha_i, then for each event
+    sum_{B ∋ i} s(B) p_B = gamma_i; minimize ("lower") or maximize
+    ("upper") sum_B p_B."""
+    n = info.n
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    mem = ((masks[None, :] >> np.arange(n, dtype=np.int64)[:, None]) & 1).astype(float)
+    s = w.c @ mem
+    return ub.LpProblem(
+        objective=np.ones(masks.size),
+        eq_matrix=np.vstack([mem, mem * s[None, :]]),
+        eq_rhs=np.concatenate([info.alpha, info.pairwise @ w.c]),
+        sense="min" if sense == "lower" else "max",
+    )
+
+
 def lp_vertex_oracle(p: ub.LpProblem) -> tuple[str, float]:
     """Solve a small standard-form LP by enumerating basic solutions."""
     a = np.asarray(p.eq_matrix)

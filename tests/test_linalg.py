@@ -5,7 +5,8 @@ import unionbounds as ub
 from unionbounds.errors import DimensionMismatch
 from unionbounds.linalg import LpProblem, solve_linear_system, solve_lp
 
-from conftest import lp_vertex_oracle, per_event_lp
+from conftest import draw_mixed_weights, draw_positive_weights, inclass_lp, \
+    lp_vertex_oracle, per_event_lp
 
 
 class TestSolveLinearSystem:
@@ -61,7 +62,9 @@ class TestSolveLp:
     def test_infeasible_sign(self):
         p = LpProblem(objective=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[-1.0],
                       sense="min")
-        assert solve_lp(p).status == "infeasible"
+        sol = solve_lp(p)
+        assert sol.status == "infeasible"
+        assert sol.pivots[1] == 0  # phase 2 never starts
 
     def test_unbounded(self):
         p = LpProblem(objective=[-1.0, 0.0], eq_matrix=[[0.0, 1.0]], eq_rhs=[1.0],
@@ -85,6 +88,32 @@ class TestSolveLp:
             np.asarray(p.eq_rhs), abs=1e-9)
         assert sol.value == pytest.approx(float(np.dot(p.objective, sol.primal)),
                                           abs=1e-9)
+
+    def test_beale_cycling_example(self):
+        # Beale's LP, on which Dantzig's rule without anti-cycling cycles
+        # through degenerate bases; x1..x3 are the classic slacks.
+        p = LpProblem(objective=[0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0],
+                      eq_matrix=[[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                                 [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                                 [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]],
+                      eq_rhs=[0.0, 0.0, 1.0], sense="min")
+        sol = solve_lp(p)
+        assert sol.optimal
+        assert sol.value == pytest.approx(-1.25, abs=1e-12)
+        assert np.asarray(p.eq_matrix) @ sol.primal == pytest.approx([0.0, 0.0, 1.0],
+                                                                     abs=1e-12)
+
+    @pytest.mark.parametrize("sense, value, pivots", [("min", 2.0, (2, 0)),
+                                                       ("max", 6.0, (2, 1))])
+    def test_pivots_per_phase(self, sense, value, pivots):
+        # x1 + x2 = 1, x2 + x3 = 1.5: phase 1 swaps both artificials for
+        # x2 and x3, where the minimum already is; the maximum needs x1 in.
+        p = LpProblem(objective=[3.0, 1.0, 2.0],
+                      eq_matrix=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                      eq_rhs=[1.0, 1.5], sense=sense)
+        sol = solve_lp(p)
+        assert sol.value == pytest.approx(value, abs=1e-12)
+        assert sol.pivots == pivots
 
     def test_vertex_enumeration_oracle(self):
         rng = np.random.default_rng(7)
@@ -160,3 +189,74 @@ class TestOptimalInclassBound:
         )
         with pytest.raises(ub.InconsistentInfo):
             ub.optimal_inclass_bound(info, ub.WeightVector.ones(3), "lower")
+
+
+class TestInclassPivotWork:
+    """Counts pivots, not wall time.  The stall counter once read every
+    improving pivot as a stall, so each LP switched to Bland's rule after
+    2(m + 1) pivots: these eight LPs then took 81 to 3297 pivots, five of
+    them more than 400; with the counter right they take at most 274."""
+
+    @pytest.mark.parametrize("model", ["sparse:96", "dirichlet"])
+    def test_n12_takes_few_pivots(self, model):
+        rng = np.random.default_rng(12)
+        sp = ub.generate_random_space(12, int(rng.integers(0, 2**31)), model)
+        info = ub.derive_partial_info(sp)
+        for w in (ub.WeightVector.ones(12), draw_positive_weights(rng, 12)):
+            for sense in ("lower", "upper"):
+                sol = solve_lp(inclass_lp(info, w, sense))
+                assert sol.optimal
+                assert sum(sol.pivots) <= 400, sol.pivots
+                # the helper's LP is the package's own
+                assert sol.value == ub.optimal_inclass_bound(info, w, sense)
+
+
+class TestInclassRankDeficient:
+    """Spaces whose in-class rows are linearly dependent: the redundant
+    rows are dropped after phase 1, and the union is pinned by the info."""
+
+    @pytest.mark.parametrize("space", [
+        ub.EventSpace(n=5, atom_probs={31: 0.37}),  # identical events
+        ub.EventSpace(n=5, atom_probs={1: 0.1, 2: 0.15, 4: 0.2, 8: 0.05, 16: 0.3}),
+        ub.generate_random_space(6, 123, "sparse:1"),
+        ub.generate_random_space(8, 7, "sparse:1"),
+    ], ids=["identical", "disjoint", "sparse1-n6", "sparse1-n8"])
+    def test_pinned_union(self, space):
+        rng = np.random.default_rng(space.n)
+        info = ub.derive_partial_info(space)
+        exact = ub.exact_union(space)
+        weights = [ub.WeightVector.ones(space.n)]
+        weights += [draw_positive_weights(rng, space.n) for _ in range(20)]
+        for w in weights:
+            for sense in ("lower", "upper"):
+                sol = solve_lp(inclass_lp(info, w, sense))
+                assert sol.optimal
+                assert sol.value == pytest.approx(exact, abs=1e-10)
+
+
+class TestInclassAgainstHighs:
+    """HiGHS (scipy) as an independent LP solver, at feasibility tolerances
+    of 1e-10: at its defaults it stops up to 2.3e-9 short at n = 12."""
+
+    OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_matches_highs(self, n):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(600 + n)
+        for model in ("dirichlet", f"sparse:{4 * n}"):
+            sp = ub.generate_random_space(n, int(rng.integers(0, 2**31)), model)
+            info = ub.derive_partial_info(sp)
+            weights = (ub.WeightVector.ones(n), draw_positive_weights(rng, n),
+                       draw_mixed_weights(rng, n, 0.05 * 2.0 ** min(0, 6 - n)))
+            for w in weights:
+                for sense in ("lower", "upper"):
+                    p = inclass_lp(info, w, sense)
+                    sign = 1.0 if sense == "lower" else -1.0
+                    ref = linprog(sign * np.asarray(p.objective), A_eq=p.eq_matrix,
+                                  b_eq=p.eq_rhs, bounds=(0, None), method="highs",
+                                  options=self.OPTIONS)
+                    assert ref.status == 0, ref.message
+                    got = ub.optimal_inclass_bound(info, w, sense)
+                    assert got == pytest.approx(sign * ref.fun, abs=1e-9)
